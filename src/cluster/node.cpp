@@ -113,10 +113,10 @@ void Node::restore_replication_snapshot(std::uint64_t snapshot_lsn,
                                         BytesView snapshot) {
     const std::scoped_lock lock(mutex_);
     if (role_ == Role::kPrimary) throw NotFollowerError();
-    durable_.server().restore_snapshot(snapshot);
-    // Checkpoint immediately: the restored state must not be combined
-    // with this node's pre-existing WAL suffix on a later recovery.
-    durable_.checkpoint_now();
+    // Installed as a local checkpoint too: the restored state must not be
+    // combined with this node's pre-existing WAL suffix on a later
+    // recovery. A bad image throws before anything changes.
+    durable_.install_replication_snapshot(snapshot);
     acked_lsn_ = snapshot_lsn;
     acked_dirty_ = true;
     ++repl_stats_.snapshots_restored;

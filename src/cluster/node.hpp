@@ -104,10 +104,12 @@ public:
     /// Throws NotFollowerError on a primary (promotion raced the pull).
     void apply_replicated(std::uint64_t source_lsn, BytesView record);
 
-    /// Bootstrap path: replaces local state with the source snapshot,
-    /// checkpoints it locally (so the stale local WAL suffix is dead),
-    /// and fast-forwards the acknowledged offset to `snapshot_lsn`.
-    /// Throws NotFollowerError on a primary (promotion raced the pull).
+    /// Bootstrap path: installs the source's MIESNAP image as local state
+    /// and local checkpoint (so the stale local WAL suffix is dead; no
+    /// retraining), and fast-forwards the acknowledged offset to
+    /// `snapshot_lsn`. Throws NotFollowerError on a primary (promotion
+    /// raced the pull) and index::SnapshotError on a malformed image;
+    /// either way nothing changes.
     void restore_replication_snapshot(std::uint64_t snapshot_lsn,
                                       BytesView snapshot);
 

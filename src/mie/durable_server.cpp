@@ -243,9 +243,23 @@ DurableServer::ReplicationSnapshot DurableServer::replication_snapshot()
     // checkpoint path), so the snapshot is a consistent cut at last_lsn.
     const std::scoped_lock lock(log_mutex_);
     ReplicationSnapshot snap;
-    snap.snapshot = inner_.export_snapshot();
+    snap.snapshot = inner_.export_mapped_snapshot();
     snap.lsn = engine_.last_lsn();
     return snap;
+}
+
+void DurableServer::install_replication_snapshot(BytesView image) {
+    // Validate first (layout + every section CRC), so a bad image throws
+    // before the disk or the in-memory state changes.
+    auto mapped =
+        index::MappedSnapshot::from_bytes(Bytes(image.begin(), image.end()));
+    mapped->verify_all_sections();
+    const std::scoped_lock lock(log_mutex_);
+    // Publish before attaching: the image becomes this server's
+    // checkpoint, so the local WAL suffix it supersedes is dead for every
+    // later recovery.
+    publish_snapshot_locked(image);
+    inner_.attach_mapped_snapshot(std::move(mapped));
 }
 
 // mielint: acquires(log_mutex_)
@@ -261,6 +275,11 @@ void DurableServer::write_checkpoint_locked() {
         ++checkpoints_written_;
         return;
     }
+    publish_snapshot_locked(inner_.export_mapped_snapshot());
+}
+
+// mielint: acquires(log_mutex_)
+void DurableServer::publish_snapshot_locked(BytesView image) {
     // Ordering for crash safety: the snapshot file is published first
     // (atomically), then the checkpoint record that references it. A
     // crash in between leaves an unreferenced file that the next
@@ -270,8 +289,7 @@ void DurableServer::write_checkpoint_locked() {
     const std::string name = snapshot_file_name(lsn);
     const std::filesystem::path snap_dir = dir_ / "snapshots";
     vfs_.create_directories(snap_dir);
-    store::atomic_write_file(vfs_, snap_dir / name,
-                             inner_.export_mapped_snapshot());
+    store::atomic_write_file(vfs_, snap_dir / name, image);
     Bytes stub(kSnapshotStubMagic,
                kSnapshotStubMagic + sizeof(kSnapshotStubMagic));
     stub.insert(stub.end(), name.begin(), name.end());

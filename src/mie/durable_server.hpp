@@ -7,11 +7,12 @@
 // (SEARCH/STATS/LIST_OBJECTS) pass straight through and still enjoy the
 // inner server's shared per-repository locking.
 //
-// Construction runs recovery: the newest durable checkpoint (the
-// export_snapshot format) is restored, then later WAL records are
-// replayed in order. Replay is deterministic because log records are the
-// verbatim RPC request bytes and the inner server applies them exactly
-// as it did originally (training is deterministic in (data, seed)).
+// Construction runs recovery: the newest durable checkpoint (a mapped
+// MIESNAP snapshot, or a legacy inline export_snapshot image) is
+// restored, then later WAL records are replayed in order. Replay is
+// deterministic because log records are the verbatim RPC request bytes
+// and the inner server applies them exactly as it did originally
+// (training is deterministic in (data, seed)).
 //
 // A threshold policy turns the log into checkpoints: once
 // `checkpoint_every_bytes` of log accumulate, the next mutating request
@@ -61,7 +62,8 @@ public:
         /// false restores the legacy inline export_snapshot checkpoints.
         /// Either kind is readable regardless of the setting — recovery
         /// dispatches on the stub magic, so flipping the flag between
-        /// runs is safe.
+        /// runs is safe. Replication images are always installed as
+        /// snapshot files (install_replication_snapshot).
         bool mmap_checkpoints = true;
     };
 
@@ -134,12 +136,20 @@ public:
 
     /// A consistent (snapshot, covering-lsn) pair taken under the log
     /// mutex: replaying records with lsn > lsn on top of `snapshot`
-    /// reproduces this server's acknowledged state.
+    /// reproduces this server's acknowledged state. `snapshot` is a
+    /// MIESNAP image (index/snapshot.hpp) carrying the trained trees and
+    /// indexes, so installing it needs no retraining.
     struct ReplicationSnapshot {
         Bytes snapshot;
         store::Lsn lsn = 0;
     };
     ReplicationSnapshot replication_snapshot() const;
+
+    /// Replaces this server's state with a replication_snapshot() image:
+    /// validates every byte of it (throws index::SnapshotError, changing
+    /// nothing, on a bad image), publishes it as this server's checkpoint
+    /// exactly as a mapped checkpoint is written, then attaches it.
+    void install_replication_snapshot(BytesView image);
 
     /// The wrapped in-memory server (stats() etc. bypass the wire).
     MieServer& server() { return inner_; }
@@ -148,6 +158,9 @@ public:
 private:
     void maybe_checkpoint_locked();
     void write_checkpoint_locked();
+    /// Writes `image` as snapshots/snapshot-<lsn>.misnap, logs the
+    /// MIESREF checkpoint stub referencing it, and sweeps older files.
+    void publish_snapshot_locked(BytesView image);
 
     MieServer inner_;
     /// (client, seq) -> response for enveloped mutations, rebuilt from

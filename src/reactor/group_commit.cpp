@@ -86,20 +86,23 @@ void GroupCommitter::run() {
 
         std::uint64_t errors = 0;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (batch_error) {
-                ++errors;
-                batch[i].done({}, batch_error);
-            } else if (results[i].error) {
-                ++errors;
-                batch[i].done({}, results[i].error);
-            } else {
-                batch[i].done(std::move(results[i].response), nullptr);
-            }
+            if (batch_error || results[i].error) ++errors;
         }
+        // Count before completing: a client that has seen its outcome
+        // (a reply, or its connection dropped) must also see it counted.
         {
             const std::scoped_lock lock(mutex_);
             stats_.completed += batch.size();
             stats_.errors += errors;
+        }
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (batch_error) {
+                batch[i].done({}, batch_error);
+            } else if (results[i].error) {
+                batch[i].done({}, results[i].error);
+            } else {
+                batch[i].done(std::move(results[i].response), nullptr);
+            }
         }
     }
 }

@@ -64,6 +64,8 @@ public:
     /// stops the committer thread. Idempotent.
     void stop();
 
+    /// A batch is counted before its completions run, so a caller that
+    /// has seen its outcome also sees it here.
     struct Stats {
         std::uint64_t submitted = 0;
         std::uint64_t completed = 0;

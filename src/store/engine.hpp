@@ -2,8 +2,8 @@
 //
 // The engine knows nothing about MIE; it logs byte strings and stores
 // byte-string snapshots. The owner (mie::DurableServer) decides what a
-// payload means (a mutating RPC request) and produces snapshots (the
-// export_snapshot wire format).
+// payload means (a mutating RPC request) and what a snapshot holds (a
+// stub naming a MIESNAP file, or a legacy inline export_snapshot image).
 //
 // Layout under `dir`:
 //   wal/         segment files (see wal.hpp)

@@ -1,14 +1,17 @@
 // Cluster subsystem tests: deterministic HKDF routing (golden vectors),
 // deterministic scatter/gather merge (bitwise-equal to a single-node run
 // over the union of repositories), WAL-shipping replication (record
-// batches, snapshot bootstrap after checkpoint truncation, promote), and
-// crash/re-pull dedup on the follower.
+// batches, snapshot bootstrap after checkpoint truncation, promote),
+// crash/re-pull dedup on the follower, and the MIESNAP bootstrap image
+// (byte-identical follower after post-TRAIN updates, bad-image rejection,
+// durability across a restart).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,6 +21,7 @@
 #include "cluster/node.hpp"
 #include "cluster/replication.hpp"
 #include "cluster/router.hpp"
+#include "index/snapshot.hpp"
 #include "mie/client.hpp"
 #include "mie/keys.hpp"
 #include "mie/wire.hpp"
@@ -252,6 +256,53 @@ Bytes snapshot_of(const Node& node) {
     return node.durable().server().export_snapshot();
 }
 
+/// The full MIESNAP image: objects AND trained trees and indexes.
+Bytes mapped_snapshot_of(const Node& node) {
+    return node.durable().server().export_mapped_snapshot();
+}
+
+/// Aggressive checkpointing + tiny segments, so a from-zero follower has
+/// to bootstrap from a snapshot.
+NodeOptions truncating_options() {
+    NodeOptions options;
+    options.storage.checkpoint_every_bytes = 1024;
+    options.storage.wal.segment_bytes = 4096;
+    return options;
+}
+
+NodeOptions follower_options() {
+    NodeOptions options;
+    options.role = Role::kFollower;
+    return options;
+}
+
+/// Every file under `dir` (non-recursive) with its bytes; empty when the
+/// directory does not exist.
+std::map<std::string, Bytes> files_in(const fs::path& dir) {
+    std::map<std::string, Bytes> files;
+    if (!fs::exists(dir)) return files;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        files[entry.path().filename().string()] =
+            store::PosixVfs::instance().read_file(entry.path());
+    }
+    return files;
+}
+
+/// Transport decorator that cuts every response in half.
+class TruncatingTransport final : public net::Transport {
+public:
+    explicit TruncatingTransport(net::Transport& inner) : inner_(inner) {}
+
+    Bytes call(BytesView request) override {
+        Bytes response = inner_.call(request);
+        response.resize(response.size() / 2);
+        return response;
+    }
+
+private:
+    net::Transport& inner_;
+};
+
 // ---------------------------------------------------------------------------
 // Scatter/gather vs single node
 // ---------------------------------------------------------------------------
@@ -356,10 +407,8 @@ TEST_F(ClusterTest, ClusterClientRoutesByRepositoryId) {
 
 TEST_F(ClusterTest, ReplicationShipsWalAndFollowerMatchesPrimary) {
     Node primary(store::PosixVfs::instance(), node_dir("primary"));
-    NodeOptions follower_options;
-    follower_options.role = Role::kFollower;
     Node follower(store::PosixVfs::instance(), node_dir("follower"),
-                  follower_options);
+                  follower_options());
 
     net::MeteredTransport client_wire(primary, net::LinkProfile::loopback());
     CaptureTransport capture(client_wire);
@@ -420,14 +469,10 @@ TEST_F(ClusterTest, ReplicationShipsWalAndFollowerMatchesPrimary) {
 }
 
 TEST_F(ClusterTest, SnapshotBootstrapAfterCheckpointTruncation) {
-    // Aggressive checkpointing + tiny segments: by the end of the
-    // workload the primary's log head has been truncated away, so a
-    // from-zero follower MUST bootstrap via snapshot.
-    NodeOptions primary_options;
-    primary_options.storage.checkpoint_every_bytes = 1024;
-    primary_options.storage.wal.segment_bytes = 4096;
+    // By the end of the workload the primary's log head has been
+    // truncated away, so a from-zero follower MUST bootstrap via snapshot.
     Node primary(store::PosixVfs::instance(), node_dir("primary"),
-                 primary_options);
+                 truncating_options());
 
     net::MeteredTransport client_wire(primary, net::LinkProfile::loopback());
     auto client = make_client(client_wire, "repo-a");
@@ -435,10 +480,8 @@ TEST_F(ClusterTest, SnapshotBootstrapAfterCheckpointTruncation) {
     ASSERT_GT(primary.durable().oldest_log_lsn(), 1u)
         << "workload too small to truncate the log head";
 
-    NodeOptions follower_options;
-    follower_options.role = Role::kFollower;
     Node follower(store::PosixVfs::instance(), node_dir("follower"),
-                  follower_options);
+                  follower_options());
     net::MeteredTransport repl_wire(primary, net::LinkProfile::loopback());
     Replicator replicator(follower, repl_wire);
 
@@ -448,6 +491,7 @@ TEST_F(ClusterTest, SnapshotBootstrapAfterCheckpointTruncation) {
     EXPECT_EQ(follower.replication().snapshots_restored, 1u);
     replicator.sync();
     EXPECT_EQ(snapshot_of(follower), snapshot_of(primary));
+    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
 
     // Incremental shipping still works after the bootstrap.
     sim::FlickrLikeGenerator gen(sim::FlickrLikeParams{
@@ -456,7 +500,166 @@ TEST_F(ClusterTest, SnapshotBootstrapAfterCheckpointTruncation) {
     const std::size_t shipped = replicator.sync();
     EXPECT_GE(shipped, 1u);
     EXPECT_EQ(snapshot_of(follower), snapshot_of(primary));
+    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
     EXPECT_EQ(follower.acked_lsn(), primary.durable().durability().last_lsn);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot bootstrap from the MIESNAP image
+// ---------------------------------------------------------------------------
+
+class SnapshotBootstrapTest : public ClusterTest {
+protected:
+    /// Runs create + 8 updates + TRAIN on `primary`, then post-TRAIN
+    /// UPDATEs and a REMOVE, and checks that all of them were truncated
+    /// into a checkpoint. Fills searches_ with one exact and one probed
+    /// (P=4) SEARCH request, captured as the client sent them.
+    void run_post_train_workload(Node& primary) {
+        net::MeteredTransport wire(primary, net::LinkProfile::loopback());
+        CaptureTransport capture(wire);
+        auto client = make_client(capture, "repo-a");
+        // 8 root cells, so a P=4 probe really skips cells.
+        client->train_params.tree_branch = 8;
+        run_repo_workload(*client, /*seed=*/7, /*objects=*/8);
+
+        sim::FlickrLikeGenerator gen(sim::FlickrLikeParams{
+            .num_classes = 2, .image_size = 48, .seed = 8});
+        client->update(gen.make(100));  // indexed into the trained trees
+        client->remove(2);
+        const store::Lsn remove_lsn = primary.durable().durability().last_lsn;
+        client->update(gen.make(101));
+        client->update(gen.make(102));
+        ASSERT_GT(primary.durable().oldest_log_lsn(), remove_lsn)
+            << "post-TRAIN records were not truncated into a checkpoint";
+
+        const sim::MultimodalObject query = gen.make(100);
+        client->search(query, 5);
+        searches_.push_back(capture.last_request());
+        client->search_probes = 4;
+        client->search(query, 5);
+        searches_.push_back(capture.last_request());
+    }
+
+    std::vector<Bytes> replies_of(Node& node) const {
+        std::vector<Bytes> replies;
+        for (const Bytes& request : searches_) {
+            replies.push_back(node.handle(request));
+        }
+        return replies;
+    }
+
+    std::vector<Bytes> searches_;
+};
+
+// Regression: a follower bootstrapped after post-TRAIN updates used to
+// retrain its trees over the current object set (the legacy object-only
+// snapshot), so its trees, indexes and search replies differed from the
+// primary's, whose trees were trained before those updates.
+TEST_F(SnapshotBootstrapTest, FollowerAfterPostTrainUpdatesAnswersLikePrimary) {
+    Node primary(store::PosixVfs::instance(), node_dir("primary"),
+                 truncating_options());
+    run_post_train_workload(primary);
+
+    Node follower(store::PosixVfs::instance(), node_dir("follower"),
+                  follower_options());
+    net::MeteredTransport repl_wire(primary, net::LinkProfile::loopback());
+    Replicator replicator(follower, repl_wire);
+    EXPECT_TRUE(replicator.pump().restored_snapshot);
+    replicator.sync();
+    EXPECT_EQ(follower.replication().snapshots_restored, 1u);
+    EXPECT_EQ(follower.acked_lsn(), primary.durable().durability().last_lsn);
+
+    EXPECT_EQ(replies_of(follower), replies_of(primary));
+    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
+}
+
+TEST_F(SnapshotBootstrapTest, BadImageIsRejectedAndChangesNothing) {
+    Node primary(store::PosixVfs::instance(), node_dir("primary"),
+                 truncating_options());
+    run_post_train_workload(primary);
+
+    // The follower bootstraps once, so it has state, a published
+    // snapshot and a checkpoint that a bad image must not disturb.
+    const fs::path follower_dir = node_dir("follower");
+    Node follower(store::PosixVfs::instance(), follower_dir,
+                  follower_options());
+    net::MeteredTransport repl_wire(primary, net::LinkProfile::loopback());
+    Replicator replicator(follower, repl_wire);
+    replicator.sync();
+    ASSERT_EQ(follower.replication().snapshots_restored, 1u);
+
+    // The primary moves on (and truncates), so the next pull is a
+    // snapshot reply carrying a different image.
+    net::MeteredTransport wire(primary, net::LinkProfile::loopback());
+    auto client = make_client(wire, "repo-b");
+    run_repo_workload(*client, /*seed=*/9, /*objects=*/4);
+    ASSERT_GT(primary.durable().oldest_log_lsn(), follower.acked_lsn() + 1);
+    const Bytes image = primary.durable().replication_snapshot().snapshot;
+
+    const std::uint64_t acked_before = follower.acked_lsn();
+    const auto restored_before = follower.replication().snapshots_restored;
+    const auto snapshots_before = files_in(follower_dir / "snapshots");
+    const auto checkpoints_before = files_in(follower_dir / "checkpoints");
+    ASSERT_FALSE(snapshots_before.empty());
+    ASSERT_FALSE(checkpoints_before.empty());
+    const std::vector<Bytes> replies_before = replies_of(follower);
+    const Bytes state_before = mapped_snapshot_of(follower);
+    const auto expect_untouched = [&] {
+        EXPECT_EQ(follower.acked_lsn(), acked_before);
+        EXPECT_EQ(follower.replication().snapshots_restored, restored_before);
+        EXPECT_EQ(files_in(follower_dir / "snapshots"), snapshots_before);
+        EXPECT_EQ(files_in(follower_dir / "checkpoints"), checkpoints_before);
+        EXPECT_EQ(replies_of(follower), replies_before);
+        EXPECT_EQ(mapped_snapshot_of(follower), state_before);
+    };
+
+    const Bytes truncated(image.begin(), image.end() - 16);
+    EXPECT_THROW(follower.restore_replication_snapshot(1000, truncated),
+                 index::SnapshotError);
+    expect_untouched();
+
+    // A flip inside the first section body: only its CRC can catch it.
+    Bytes flipped = image;
+    flipped[index::kSnapshotHeaderSize + 8] ^= 0x01;
+    EXPECT_THROW(follower.restore_replication_snapshot(1000, flipped),
+                 index::SnapshotError);
+    expect_untouched();
+
+    // A kReplPull snapshot reply cut short on the wire.
+    TruncatingTransport cut_wire(repl_wire);
+    Replicator cut_replicator(follower, cut_wire);
+    EXPECT_ANY_THROW(cut_replicator.pump());
+    expect_untouched();
+
+    // The intact reply still bootstraps the follower.
+    EXPECT_TRUE(replicator.pump().restored_snapshot);
+    replicator.sync();
+    EXPECT_EQ(replies_of(follower), replies_of(primary));
+    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
+}
+
+TEST_F(SnapshotBootstrapTest, InstalledImageSurvivesRestart) {
+    Node primary(store::PosixVfs::instance(), node_dir("primary"),
+                 truncating_options());
+    run_post_train_workload(primary);
+
+    const fs::path follower_dir = node_dir("follower");
+    {
+        Node follower(store::PosixVfs::instance(), follower_dir,
+                      follower_options());
+        net::MeteredTransport repl_wire(primary,
+                                        net::LinkProfile::loopback());
+        Replicator replicator(follower, repl_wire);
+        EXPECT_TRUE(replicator.pump().restored_snapshot);
+        replicator.sync();
+    }
+
+    Node reopened(store::PosixVfs::instance(), follower_dir,
+                  follower_options());
+    EXPECT_TRUE(reopened.durable().durability().recovered_from_checkpoint);
+    EXPECT_EQ(reopened.acked_lsn(), primary.durable().durability().last_lsn);
+    EXPECT_EQ(replies_of(reopened), replies_of(primary));
+    EXPECT_EQ(mapped_snapshot_of(reopened), mapped_snapshot_of(primary));
 }
 
 TEST_F(ClusterTest, FollowerCrashRepullIsDeduplicated) {
@@ -502,10 +705,8 @@ TEST_F(ClusterTest, FollowerCrashRepullIsDeduplicated) {
 
 TEST_F(ClusterTest, RetryAfterFailoverIsDeduplicated) {
     Node primary(store::PosixVfs::instance(), node_dir("primary"));
-    NodeOptions follower_options;
-    follower_options.role = Role::kFollower;
     Node follower(store::PosixVfs::instance(), node_dir("follower"),
-                  follower_options);
+                  follower_options());
 
     net::MeteredTransport client_wire(primary, net::LinkProfile::loopback());
     CaptureTransport capture(client_wire);

@@ -135,7 +135,8 @@ TEST_F(PromoteDuringPullTest, PumpIntoPromotedFollowerFailsFastAndSafely) {
                  NotFollowerError);
     EXPECT_THROW(
         follower.restore_replication_snapshot(
-            acked_before + 10, primary.durable().server().export_snapshot()),
+            acked_before + 10,
+            primary.durable().server().export_mapped_snapshot()),
         NotFollowerError);
 
     // Nothing about the promoted node moved: snapshot, offset, stats.

@@ -213,6 +213,9 @@ public:
                 const int conn = ::accept(fd_, nullptr, nullptr);
                 if (conn < 0) return;
                 on_connection_(conn);
+                // FIN, not RST: whatever the callback sent reaches the
+                // client before it sees the end of the stream.
+                ::shutdown(conn, SHUT_WR);
                 ::close(conn);
             }
         });
@@ -232,6 +235,27 @@ private:
     std::uint16_t port_ = 0;
     std::thread thread_;
 };
+
+/// Reads exactly `length` bytes; false if the peer closed first.
+bool recv_all(int conn, std::uint8_t* out, std::size_t length) {
+    std::size_t received = 0;
+    while (received < length) {
+        const ssize_t n = ::recv(conn, out + received, length - received, 0);
+        if (n <= 0) return false;
+        received += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/// Reads one whole request frame (header, then the payload length it
+/// announces). Closing a socket with unread request bytes makes the
+/// kernel send RST, which would race the reply the client should see.
+void read_request_frame(int conn) {
+    std::uint8_t header[kFrameHeaderSize];
+    if (!recv_all(conn, header, kFrameHeaderSize)) return;
+    Bytes payload(parse_frame_header(header).length);
+    (void)recv_all(conn, payload.data(), payload.size());
+}
 
 /// Drains the connection until the peer gives up (EOF).
 void drain(int conn) {
@@ -305,8 +329,7 @@ TEST(TcpFault, PeerDyingBeforeResponseIsTypedReset) {
     // Server killed mid-request: the connection closes after the request
     // is read but before any response byte.
     RawListener listener([](int conn) {
-        std::uint8_t buffer[512];
-        (void)::recv(conn, buffer, sizeof(buffer), 0);
+        read_request_frame(conn);
         // close(conn) happens in RawListener — response never sent.
     });
     TcpTransport client("127.0.0.1", listener.port(),
@@ -319,8 +342,7 @@ TEST(TcpFault, PeerDyingMidResponseFrameIsTruncated) {
     // The peer sends a valid header promising 100 bytes, delivers 10,
     // then dies.
     RawListener listener([](int conn) {
-        std::uint8_t buffer[512];
-        (void)::recv(conn, buffer, sizeof(buffer), 0);
+        read_request_frame(conn);
         const Bytes payload(100, 0xab);
         std::uint8_t header[kFrameHeaderSize];
         encode_frame_header(payload, header);
@@ -335,8 +357,7 @@ TEST(TcpFault, PeerDyingMidResponseFrameIsTruncated) {
 
 TEST(TcpFault, CorruptResponseChecksumIsTyped) {
     RawListener listener([](int conn) {
-        std::uint8_t buffer[512];
-        (void)::recv(conn, buffer, sizeof(buffer), 0);
+        read_request_frame(conn);
         Bytes frame = encode_frame(to_bytes("tampered-response"));
         frame.back() ^= 0x01;  // corrupt the payload after checksumming
         (void)::send(conn, frame.data(), frame.size(), MSG_NOSIGNAL);
