@@ -2,6 +2,8 @@
 // primitives whose relative costs drive every figure in the paper:
 // AES-CTR vs DPE vs Paillier is exactly the Encrypt-bar story of
 // Figs. 2-3, and quantization/popcount costs drive server-side training.
+// The inverted-index pair times what the server does per search (postings
+// scoring) and per indexed object, at the benchmark's search scale.
 #include <benchmark/benchmark.h>
 
 #include <numbers>
@@ -18,7 +20,10 @@
 #include "dpe/dense_dpe.hpp"
 #include "dpe/sparse_dpe.hpp"
 #include "features/surf.hpp"
+#include "index/bovw.hpp"
+#include "index/inverted_index.hpp"
 #include "index/kmeans.hpp"
+#include "index/scoring.hpp"
 #include "index/space.hpp"
 #include "sim/dataset.hpp"
 #include "util/rng.hpp"
@@ -148,6 +153,65 @@ void BM_KMeansHammingIteration(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_KMeansHammingIteration);
+
+// Visual-word corpus at the scale of the perfbench search workload: 800
+// objects, the 289 leaves of a 17x2 vocabulary tree, about 420
+// descriptors per object. Word draws are skewed (squared uniform) so a
+// few words are common, as in a real bag of visual words.
+constexpr std::size_t kIndexObjects = 800;
+constexpr double kIndexWords = 289;
+constexpr std::size_t kDescriptorsPerObject = 420;
+
+std::vector<index::Term> descriptor_words(SplitMix64& rng) {
+    std::vector<index::Term> words;
+    words.reserve(kDescriptorsPerObject);
+    for (std::size_t i = 0; i < kDescriptorsPerObject; ++i) {
+        const double u = rng.next_double();
+        words.push_back(index::visual_word_term(
+            static_cast<std::uint32_t>(u * u * kIndexWords)));
+    }
+    return words;
+}
+
+index::InvertedIndex visual_word_index(SplitMix64& rng) {
+    index::InvertedIndex idx;
+    for (std::size_t doc = 0; doc < kIndexObjects; ++doc) {
+        for (const auto& word : descriptor_words(rng)) idx.add(word, doc, 1);
+    }
+    return idx;
+}
+
+void BM_RankTfIdf(benchmark::State& state) {
+    SplitMix64 rng(13);
+    const index::InvertedIndex idx = visual_word_index(rng);
+    index::QueryHistogram query;
+    for (const auto& word : descriptor_words(rng)) ++query[word];
+    index::RankCounters counters;
+    index::rank_tfidf(idx, query, kIndexObjects, 40, &counters);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            index::rank_tfidf(idx, query, kIndexObjects, 40));
+    }
+    state.counters["postings_scored"] =
+        static_cast<double>(counters.postings_scored);
+}
+BENCHMARK(BM_RankTfIdf)->Unit(benchmark::kMicrosecond);
+
+// One object's descriptors added to the full index, one add() per
+// descriptor as the server indexes them; the removal that keeps the
+// index at 800 objects is not timed.
+void BM_IndexAddDocument(benchmark::State& state) {
+    SplitMix64 rng(13);
+    index::InvertedIndex idx = visual_word_index(rng);
+    const std::vector<index::Term> words = descriptor_words(rng);
+    for (auto _ : state) {
+        for (const auto& word : words) idx.add(word, kIndexObjects, 1);
+        state.PauseTiming();
+        idx.remove_document(kIndexObjects);
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_IndexAddDocument)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -5,24 +5,47 @@
 
 namespace mie::index {
 
+InvertedIndex::DocEntry& InvertedIndex::entry_for(DocId doc) {
+    const auto [it, inserted] = docs_.try_emplace(doc);
+    if (inserted) {
+        if (free_slots_.empty()) {
+            it->second.slot = static_cast<std::uint32_t>(slot_docs_.size());
+            slot_docs_.push_back(doc);
+            slot_postings_.push_back(0);
+        } else {
+            it->second.slot = free_slots_.back();
+            free_slots_.pop_back();
+            slot_docs_[it->second.slot] = doc;
+        }
+    }
+    return it->second;
+}
+
 void InvertedIndex::add(const Term& term, DocId doc, std::uint32_t freq) {
     if (freq == 0) return;
+    DocEntry& entry = entry_for(doc);
     auto& list = postings_[term];
-    const auto it = std::find_if(list.begin(), list.end(),
-                                 [doc](const Posting& p) { return p.doc == doc; });
-    if (it != list.end()) {
-        it->frequency += freq;
-    } else {
-        list.push_back(Posting{doc, freq});
+    if (entry.term_set.insert(term).second) {
+        list.push_back(Posting{doc, freq, entry.slot});
+        ++slot_postings_[entry.slot];
         ++num_postings_;
+        return;
     }
-    doc_terms_[doc].insert(term);
+    // A repeated (term, doc) pair: documents are indexed one at a time,
+    // so the posting is almost always the list's last.
+    auto it = std::prev(list.end());
+    if (it->doc != doc) {
+        it = std::find_if(list.begin(), list.end(),
+                          [doc](const Posting& p) { return p.doc == doc; });
+    }
+    it->frequency += freq;
 }
 
 void InvertedIndex::remove_document(DocId doc) {
-    const auto it = doc_terms_.find(doc);
-    if (it == doc_terms_.end()) return;
-    for (const Term& term : it->second) {
+    const auto it = docs_.find(doc);
+    if (it == docs_.end()) return;
+    // mielint: allow(R3): each term's list is edited independently
+    for (const Term& term : it->second.term_set) {
         auto list_it = postings_.find(term);
         if (list_it == postings_.end()) continue;
         auto& list = list_it->second;
@@ -36,7 +59,9 @@ void InvertedIndex::remove_document(DocId doc) {
         }
         if (list.empty()) postings_.erase(list_it);
     }
-    doc_terms_.erase(it);
+    slot_postings_[it->second.slot] = 0;
+    free_slots_.push_back(it->second.slot);
+    docs_.erase(it);
 }
 
 const std::vector<Posting>* InvertedIndex::postings(const Term& term) const {
@@ -50,9 +75,10 @@ std::size_t InvertedIndex::document_frequency(const Term& term) const {
 }
 
 std::vector<Term> InvertedIndex::terms_of(DocId doc) const {
-    const auto it = doc_terms_.find(doc);
-    if (it == doc_terms_.end()) return {};
-    return std::vector<Term>(it->second.begin(), it->second.end());
+    const auto it = docs_.find(doc);
+    if (it == docs_.end()) return {};
+    return std::vector<Term>(it->second.term_set.begin(),
+                             it->second.term_set.end());
 }
 
 std::vector<Term> InvertedIndex::sorted_terms() const {
@@ -76,7 +102,10 @@ void InvertedIndex::load_postings(const Term& term,
             throw std::invalid_argument(
                 "InvertedIndex: load_postings doc ids not ascending");
         }
-        doc_terms_[postings[i].doc].insert(term);
+        DocEntry& entry = entry_for(postings[i].doc);
+        entry.term_set.insert(term);
+        postings[i].slot = entry.slot;
+        ++slot_postings_[entry.slot];
     }
     num_postings_ += postings.size();
     postings_.emplace(term, std::move(postings));
@@ -84,7 +113,10 @@ void InvertedIndex::load_postings(const Term& term,
 
 void InvertedIndex::clear() {
     postings_.clear();
-    doc_terms_.clear();
+    docs_.clear();
+    slot_docs_.clear();
+    slot_postings_.clear();
+    free_slots_.clear();
     num_postings_ = 0;
 }
 

@@ -21,7 +21,11 @@ using Term = std::string;  ///< opaque term key (token bytes / word id)
 struct Posting {
     DocId doc = 0;
     std::uint32_t frequency = 0;
+    /// The document's dense slot in the owning index (assigned by
+    /// InvertedIndex; derived data, never serialized).
+    std::uint32_t slot = 0;
 };
+static_assert(sizeof(Posting) == 16);
 
 class InvertedIndex {
 public:
@@ -38,10 +42,18 @@ public:
     std::size_t document_frequency(const Term& term) const;
 
     std::size_t num_terms() const { return postings_.size(); }
-    std::size_t num_documents() const { return doc_terms_.size(); }
+    std::size_t num_documents() const { return docs_.size(); }
     std::size_t num_postings() const { return num_postings_; }
-    bool contains_document(DocId doc) const {
-        return doc_terms_.contains(doc);
+    bool contains_document(DocId doc) const { return docs_.contains(doc); }
+
+    /// Live documents occupy slots [0, num_slots()) densely, apart from
+    /// slots freed by remove_document and not yet reused. Scorers size a
+    /// flat accumulator by it and index it with Posting::slot.
+    std::size_t num_slots() const { return slot_docs_.size(); }
+    /// Document id in `slot`, and its posting count (= distinct terms).
+    DocId slot_doc(std::uint32_t slot) const { return slot_docs_[slot]; }
+    std::uint32_t slot_postings(std::uint32_t slot) const {
+        return slot_postings_[slot];
     }
 
     /// All terms of a document (empty if unknown).
@@ -61,8 +73,19 @@ public:
     void clear();
 
 private:
+    struct DocEntry {
+        std::uint32_t slot = 0;
+        std::unordered_set<Term> term_set;
+    };
+
+    /// The document's entry, taking a slot on first sight.
+    DocEntry& entry_for(DocId doc);
+
     std::unordered_map<Term, std::vector<Posting>> postings_;
-    std::unordered_map<DocId, std::unordered_set<Term>> doc_terms_;
+    std::unordered_map<DocId, DocEntry> docs_;
+    std::vector<DocId> slot_docs_;
+    std::vector<std::uint32_t> slot_postings_;
+    std::vector<std::uint32_t> free_slots_;
     std::size_t num_postings_ = 0;
 };
 

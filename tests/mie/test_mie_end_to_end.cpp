@@ -7,7 +7,9 @@
 #include "mie/client.hpp"
 #include "mie/object_codec.hpp"
 #include "mie/server.hpp"
+#include "mie/wire.hpp"
 #include "sim/dataset.hpp"
+#include "util/crc32c.hpp"
 
 namespace mie {
 namespace {
@@ -216,6 +218,76 @@ TEST_F(MieEndToEnd, UnknownRepositoryIsAnError) {
     net::MeteredTransport transport2(server_, net::LinkProfile::loopback());
     MieClient ghost(transport2, "missing", repo_key_, to_bytes("g"));
     EXPECT_THROW(ghost.search(generator_.make(0), 1), std::invalid_argument);
+}
+
+/// Handler decorator that folds every SEARCH reply into a running
+/// CRC-32C, so a test can pin the exact bytes the server put on the wire.
+class SearchReplyDigest final : public net::RequestHandler {
+public:
+    explicit SearchReplyDigest(net::RequestHandler& inner) : inner_(inner) {}
+
+    Bytes handle(BytesView request) override {
+        Bytes reply = inner_.handle(request);
+        if (!request.empty() &&
+            static_cast<MieOp>(request[0]) == MieOp::kSearch) {
+            state_ = crc32c_update(state_, reply);
+            ++replies_;
+        }
+        return reply;
+    }
+
+    /// Digest of the replies seen since the last call, then resets.
+    std::uint32_t take() {
+        const std::uint32_t digest = crc32c_final(state_);
+        state_ = crc32c_init();
+        return digest;
+    }
+    std::size_t replies() const { return replies_; }
+
+private:
+    net::RequestHandler& inner_;
+    std::uint32_t state_ = crc32c_init();
+    std::size_t replies_ = 0;
+};
+
+// Pins the SEARCH reply bytes (ranked ids, scores, ciphertexts and the
+// work tail) of a small seeded repository: exact TF-IDF, IVF with 4
+// probes, and a BM25-trained repository. Each repository sees a removal
+// and post-TRAIN updates before it is searched, so index slots have been
+// freed and reused. Any change to ranking arithmetic, tie order or reply
+// encoding moves these digests.
+TEST_F(MieEndToEnd, SearchRepliesArePinned) {
+    SearchReplyDigest digest(server_);
+    net::MeteredTransport transport(digest, net::LinkProfile::loopback());
+    const auto populate = [&](MieClient& client, TrainParams::Ranking ranking) {
+        client.train_params = client_->train_params;
+        client.train_params.ranking = ranking;
+        client.create_repository();
+        for (const auto& object : generator_.make_batch(0, 16)) {
+            client.update(object);
+        }
+        client.train();
+        client.remove(3);
+        client.update(generator_.make(40));
+        client.update(generator_.make(41));
+    };
+    const auto search_digest = [&](MieClient& client, std::size_t probes) {
+        client.search_probes = probes;
+        for (const std::uint64_t id : {0u, 5u, 40u, 3u}) {
+            EXPECT_FALSE(client.search(generator_.make(id), 5).empty());
+        }
+        return digest.take();
+    };
+    MieClient tfidf(transport, "pinned-tfidf", repo_key_,
+                    to_bytes("pinned-user"));
+    populate(tfidf, TrainParams::Ranking::kTfIdf);
+    EXPECT_EQ(search_digest(tfidf, 0), 0xF8E08ECBu);
+    EXPECT_EQ(search_digest(tfidf, 4), 0xAC0AF420u);
+    MieClient bm25(transport, "pinned-bm25", repo_key_,
+                   to_bytes("pinned-user"));
+    populate(bm25, TrainParams::Ranking::kBm25);
+    EXPECT_EQ(search_digest(bm25, 0), 0xCBD9BFB3u);
+    EXPECT_EQ(digest.replies(), 12u);
 }
 
 TEST(MieObjectCodec, Roundtrip) {
