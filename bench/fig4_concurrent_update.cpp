@@ -137,7 +137,7 @@ ScenarioResult run_scenario(const std::string& mode, std::size_t clients,
     {
         DurableServer durable(
             store::PosixVfs::instance(), dir,
-            {{.wal = {.sync_policy = store::SyncPolicy::kEveryRecord}}});
+            {.wal = {.sync_policy = store::SyncPolicy::kEveryRecord}});
         durable.handle(create_repo_request());
 
         std::unique_ptr<net::TcpServer> blocking;
@@ -333,8 +333,8 @@ ClusterScenarioResult run_cluster_scenario(
             Shard(const fs::path& shard_dir)
                 : node(store::PosixVfs::instance(), shard_dir,
                        cluster::NodeOptions{
-                           .storage = {{.wal = {.sync_policy = store::
-                                                    SyncPolicy::kEveryRecord}}}}),
+                           .storage = {.wal = {.sync_policy = store::
+                                                   SyncPolicy::kEveryRecord}}}),
                   committer(node),
                   server(node, &committer, [](BytesView request) {
                       return is_mutating_request(request);

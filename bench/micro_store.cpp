@@ -150,31 +150,27 @@ int main(int argc, char** argv) {
     // --- restart cost: reopen the same directory after shutdown ----------
     // Loads the full recorded workload into a DurableServer, optionally
     // checkpoints, destroys it, then times construction (= recovery) of a
-    // fresh server over the same directory. Three variants:
-    //   mmap snapshot (default)  — recovery maps the snapshot file and
-    //                              validates header + TOC only, so open
-    //                              cost is O(1) in the indexed state;
-    //   legacy inline checkpoint — deserializes objects and RETRAINS;
-    //   pure WAL replay          — re-applies every logged request.
+    // fresh server over the same directory. Two variants:
+    //   mmap snapshot   — recovery maps the snapshot file and verifies
+    //                     it; no tree or index is rebuilt;
+    //   pure WAL replay — re-applies every logged request.
     struct Restart {
         double open_s = std::numeric_limits<double>::infinity();
         std::size_t snapshot_bytes = 0;
         bool from_checkpoint = false;
         std::size_t replayed = 0;
     };
-    const auto measure_restart = [&](bool mmap, bool checkpoint) {
-        DurableServer::Options options;
-        options.mmap_checkpoints = mmap;
+    const auto measure_restart = [&](bool checkpoint) {
         const fs::path d = fresh_dir();
         {
-            DurableServer server(store::PosixVfs::instance(), d, options);
+            DurableServer server(store::PosixVfs::instance(), d);
             for (const auto& request : requests) server.handle(request);
             if (checkpoint) server.checkpoint_now();
         }
         Restart r;
         for (int round = 0; round < rounds; ++round) {
             const auto start = std::chrono::steady_clock::now();
-            DurableServer server(store::PosixVfs::instance(), d, options);
+            DurableServer server(store::PosixVfs::instance(), d);
             const double elapsed =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
@@ -192,9 +188,8 @@ int main(int argc, char** argv) {
         }
         return r;
     };
-    const Restart restart_mmap = measure_restart(true, true);
-    const Restart restart_legacy = measure_restart(false, true);
-    const Restart restart_replay = measure_restart(true, false);
+    const Restart restart_mmap = measure_restart(true);
+    const Restart restart_replay = measure_restart(false);
 
     fs::remove_all(dir);
 
@@ -213,10 +208,8 @@ int main(int argc, char** argv) {
     std::printf("\n  restart after clean shutdown (best of %d):\n", rounds);
     std::printf("    %-34s %8.2f ms  (snapshot %zu bytes, %zu records "
                 "replayed)\n",
-                "mmap snapshot (default):", restart_mmap.open_s * 1e3,
+                "mmap snapshot:", restart_mmap.open_s * 1e3,
                 restart_mmap.snapshot_bytes, restart_mmap.replayed);
-    std::printf("    %-34s %8.2f ms\n",
-                "legacy inline checkpoint:", restart_legacy.open_s * 1e3);
     std::printf("    %-34s %8.2f ms  (%zu records replayed)\n",
                 "pure WAL replay (no checkpoint):",
                 restart_replay.open_s * 1e3, restart_replay.replayed);
@@ -239,18 +232,11 @@ int main(int argc, char** argv) {
          << bool_str(restart_mmap.from_checkpoint)
          << ",\"wal_records_replayed\":" << restart_mmap.replayed
          << ",\"snapshot_bytes\":" << restart_mmap.snapshot_bytes
-         << "},\"legacy_checkpoint\":{\"open_s\":" << restart_legacy.open_s
-         << ",\"from_checkpoint\":"
-         << bool_str(restart_legacy.from_checkpoint)
          << "},\"wal_replay\":{\"open_s\":" << restart_replay.open_s
          << ",\"wal_records_replayed\":" << restart_replay.replayed
          << "},\"mmap_speedup_vs_wal_replay\":"
          << (restart_mmap.open_s > 0.0
                  ? restart_replay.open_s / restart_mmap.open_s
-                 : 0.0)
-         << ",\"mmap_speedup_vs_legacy\":"
-         << (restart_mmap.open_s > 0.0
-                 ? restart_legacy.open_s / restart_mmap.open_s
                  : 0.0)
          << "},\"overhead_le_25pct\":" << bool_str(ok) << "}";
     emit_json(argc, argv, json.str());

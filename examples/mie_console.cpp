@@ -207,7 +207,14 @@ int main(int argc, char** argv) {
             } else if (command == "load") {
                 std::string path;
                 if (!(args >> path)) throw std::invalid_argument("load <path>");
-                load_server_snapshot(cloud, path);
+                if (durable) {
+                    // Installed as the durable checkpoint, so the loaded
+                    // state and every later mutation survive a relaunch.
+                    durable->install_replication_snapshot(
+                        store::PosixVfs::instance().read_file(path));
+                } else {
+                    load_server_snapshot(cloud, path);
+                }
                 std::cout << "cloud state restored from " << path << "\n";
             } else {
                 std::cout << "unknown command '" << command

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "index/snapshot.hpp"
@@ -12,12 +13,9 @@ namespace mie {
 
 namespace {
 
-/// Checkpoint records either hold a full inline snapshot (legacy
-/// export_snapshot bytes, which start with a u32 repository count) or a
-/// stub referencing an mmap-able snapshot file under dir/snapshots/:
-/// 8-byte magic "MIESREF\n" followed by the raw file name. The magic
-/// cannot collide with a count prefix — it would decode as ~1.4 billion
-/// repositories.
+/// Every checkpoint record is a stub referencing a MIESNAP file under
+/// dir/snapshots/: 8-byte magic "MIESREF\n" followed by the raw file
+/// name.
 constexpr char kSnapshotStubMagic[8] = {'M', 'I', 'E', 'S',
                                         'R', 'E', 'F', '\n'};
 
@@ -39,24 +37,41 @@ std::string snapshot_file_name(store::Lsn lsn) {
     return name;
 }
 
-}  // namespace
+/// A request with its idempotency envelope, if any, peeled off.
+struct Unwrapped {
+    std::optional<net::Envelope> env;
+    BytesView inner;
 
-DurableServer::DurableServer(store::Vfs& vfs,
-                             const std::filesystem::path& dir)
-    : DurableServer(vfs, dir, Options{}) {}
+    bool mutating() const {
+        return is_mutating(static_cast<MieOp>(inner[0]));
+    }
+};
+
+Unwrapped unwrap(BytesView request) {
+    if (request.empty()) {
+        throw std::invalid_argument("DurableServer: empty request");
+    }
+    Unwrapped unwrapped{net::parse_envelope(request), request};
+    if (unwrapped.env) unwrapped.inner = unwrapped.env->inner;
+    if (unwrapped.inner.empty()) {
+        throw std::invalid_argument("DurableServer: empty request");
+    }
+    return unwrapped;
+}
+
+}  // namespace
 
 DurableServer::DurableServer(store::Vfs& vfs,
                              const std::filesystem::path& dir,
                              Options options)
     : vfs_(vfs),
       dir_(dir),
-      mmap_checkpoints_(options.mmap_checkpoints),
       engine_(
           vfs, dir, options,
-          [this](BytesView snapshot) {
-              if (!is_snapshot_stub(snapshot)) {
-                  inner_.restore_snapshot(snapshot);
-                  return;
+          [this](BytesView checkpoint) {
+              if (!is_snapshot_stub(checkpoint)) {
+                  throw index::SnapshotError(
+                      "DurableServer: checkpoint is not a MIESREF stub");
               }
               // O(1) restart: map the referenced snapshot file and attach
               // it; repositories materialize lazily on first touch. The
@@ -64,7 +79,7 @@ DurableServer::DurableServer(store::Vfs& vfs,
               // state is mutated — so the engine can still fall back to
               // full WAL replay.
               auto mapped = index::MappedSnapshot::open(
-                  dir_ / "snapshots" / stub_file_name(snapshot));
+                  dir_ / "snapshots" / stub_file_name(checkpoint));
               mapped->verify_all_sections();
               inner_.attach_mapped_snapshot(std::move(mapped));
           },
@@ -82,33 +97,13 @@ DurableServer::DurableServer(store::Vfs& vfs,
           }) {}
 
 Bytes DurableServer::handle(BytesView request) {
-    if (request.empty()) {
-        throw std::invalid_argument("DurableServer: empty request");
-    }
-    const auto env = net::parse_envelope(request);
-    const BytesView inner = env ? env->inner : request;
-    if (inner.empty()) {
-        throw std::invalid_argument("DurableServer: empty request");
-    }
-    const auto op = static_cast<MieOp>(inner[0]);
-    if (!is_mutating(op)) return inner_.handle(inner);
-
-    const std::scoped_lock lock(log_mutex_);
-    if (env) {
-        if (const Bytes* cached =
-                replay_cache_.lookup(env->client_id, env->seq)) {
-            ++replays_suppressed_;
-            return *cached;  // replay of an already-applied mutation
-        }
-    }
-    Bytes response = inner_.handle(inner);  // throws on invalid request
-    // Log the enveloped bytes so recovery can rebuild the dedup window;
-    // durable (per sync policy) before the ack.
-    engine_.log(request);
-    if (env) replay_cache_.insert(env->client_id, env->seq, response);
-    ++records_logged_;
-    maybe_checkpoint_locked();
-    return response;
+    const Unwrapped unwrapped = unwrap(request);
+    // Reads answer before the log mutex: searches never wait on commits.
+    if (!unwrapped.mutating()) return inner_.handle(unwrapped.inner);
+    auto result =
+        std::move(handle_batch({Bytes(request.begin(), request.end())})[0]);
+    if (result.error) std::rethrow_exception(result.error);
+    return std::move(result.response);
 }
 
 std::vector<net::BatchRequestHandler::Result> DurableServer::handle_batch(
@@ -119,8 +114,8 @@ std::vector<net::BatchRequestHandler::Result> DurableServer::handle_batch(
     const std::scoped_lock lock(log_mutex_);
     // Applied-but-not-yet-logged requests of this batch. Replay-cache
     // inserts are staged and performed only after the batch is durable,
-    // mirroring the serial path's log-then-insert order, so a log
-    // failure cannot leave a cached response for a lost mutation.
+    // so a log failure cannot leave a cached response for a lost
+    // mutation.
     struct Staged {
         enum class Kind : std::uint8_t {
             kPlain,      ///< mutating, not enveloped
@@ -138,19 +133,12 @@ std::vector<net::BatchRequestHandler::Result> DurableServer::handle_batch(
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const BytesView request = requests[i];
         try {
-            if (request.empty()) {
-                throw std::invalid_argument("DurableServer: empty request");
-            }
-            const auto env = net::parse_envelope(request);
-            const BytesView inner = env ? env->inner : request;
-            if (inner.empty()) {
-                throw std::invalid_argument("DurableServer: empty request");
-            }
-            const auto op = static_cast<MieOp>(inner[0]);
-            if (!is_mutating(op)) {
+            const Unwrapped unwrapped = unwrap(request);
+            const auto& env = unwrapped.env;
+            if (!unwrapped.mutating()) {
                 // Read-only requests need no logging; answer in place so
                 // a mixed batch keeps per-request ordering.
-                results[i].response = inner_.handle(inner);
+                results[i].response = inner_.handle(unwrapped.inner);
                 continue;
             }
             if (env) {
@@ -179,7 +167,7 @@ std::vector<net::BatchRequestHandler::Result> DurableServer::handle_batch(
                 }
                 if (duplicate) continue;
             }
-            results[i].response = inner_.handle(inner);
+            results[i].response = inner_.handle(unwrapped.inner);
             to_log.push_back(request);
             staged.push_back(
                 env ? Staged{i, Staged::Kind::kEnveloped, env->client_id,
@@ -197,8 +185,8 @@ std::vector<net::BatchRequestHandler::Result> DurableServer::handle_batch(
         engine_.log_batch(to_log);
     } catch (...) {
         // The batch is not durable: none of the applied requests may be
-        // acknowledged (same contract as handle() throwing). Recovery
-        // discards the torn suffix; clients retry through the envelope.
+        // acknowledged. Recovery discards the torn suffix; clients retry
+        // through the envelope.
         const std::exception_ptr error = std::current_exception();
         for (const Staged& s : staged) {
             results[s.index].response.clear();
@@ -270,11 +258,6 @@ void DurableServer::maybe_checkpoint_locked() {
 
 // mielint: acquires(log_mutex_)
 void DurableServer::write_checkpoint_locked() {
-    if (!mmap_checkpoints_) {
-        engine_.checkpoint(inner_.export_snapshot());
-        ++checkpoints_written_;
-        return;
-    }
     publish_snapshot_locked(inner_.export_mapped_snapshot());
 }
 

@@ -7,10 +7,12 @@
 // (SEARCH/STATS/LIST_OBJECTS) pass straight through and still enjoy the
 // inner server's shared per-repository locking.
 //
-// Construction runs recovery: the newest durable checkpoint (a mapped
-// MIESNAP snapshot, or a legacy inline export_snapshot image) is
-// restored, then later WAL records are replayed in order. Replay is
-// deterministic because log records are the verbatim RPC request bytes
+// Construction runs recovery: the newest durable checkpoint — a stub
+// naming a MIESNAP snapshot file (index/snapshot.hpp) — is mapped and
+// attached, then later WAL records are replayed in order. A checkpoint
+// that is not such a stub, or whose file is damaged, falls back to full
+// WAL replay when the whole log is present and throws otherwise. Replay
+// is deterministic because log records are the verbatim RPC request bytes
 // and the inner server applies them exactly as it did originally
 // (training is deterministic in (data, seed)).
 //
@@ -23,7 +25,7 @@
 // point, and holding the mutex across apply+append keeps memory order
 // and log order identical (replay must converge to the acknowledged
 // state even when concurrent writers race on the same object id).
-// Searches never take the log mutex.
+// Searches and other reads never take the log mutex.
 // Idempotent replay: requests may arrive wrapped in the idempotency
 // envelope of net/envelope.hpp. Mutating envelopes are deduplicated
 // through a bounded replay cache — a client retry whose original was
@@ -31,13 +33,13 @@
 // response back without re-applying. Enveloped requests are logged
 // verbatim, so recovery replay rebuilds the cache and dedup survives a
 // server crash: at-least-once delivery, exactly-once application.
-// Group commit: handle_batch() applies a whole batch of mutating
-// requests under one log-mutex acquisition and appends all of their WAL
-// records with a single fsync (store::Wal::append_batch), amortizing the
-// kEveryRecord flush across the batch. The ack protocol is unchanged —
-// no request of the batch is acknowledged before every record of the
-// batch is durable — so the log-before-ack invariant and the
-// exactly-once dedup contract hold exactly as on the serial path.
+// Group commit: handle_batch() is the one commit path. It applies a
+// whole batch of mutating requests under one log-mutex acquisition and
+// appends all of their WAL records with a single fsync
+// (store::Wal::append_batch), amortizing the kEveryRecord flush across
+// the batch. No request of the batch is acknowledged before every record
+// of the batch is durable. handle() commits a mutation as a one-element
+// batch.
 #pragma once
 
 #include <filesystem>
@@ -54,30 +56,23 @@ namespace mie {
 class DurableServer final : public net::RequestHandler,
                             public net::BatchRequestHandler {
 public:
-    struct Options : store::StorageEngine::Options {
-        /// Checkpoint as an mmap-able snapshot file (index/snapshot.hpp,
-        /// written under dir/snapshots/) referenced from the engine's
-        /// checkpoint record by a tiny stub, so reopening maps the file
-        /// in O(1) and repositories materialize lazily on first touch.
-        /// false restores the legacy inline export_snapshot checkpoints.
-        /// Either kind is readable regardless of the setting — recovery
-        /// dispatches on the stub magic, so flipping the flag between
-        /// runs is safe. Replication images are always installed as
-        /// snapshot files (install_replication_snapshot).
-        bool mmap_checkpoints = true;
-    };
+    /// WAL and checkpoint settings. Checkpoints are always MIESNAP
+    /// snapshot files referenced from the engine's checkpoint record by
+    /// a tiny stub, so reopening maps the file in O(1) and repositories
+    /// materialize lazily on first touch.
+    using Options = store::StorageEngine::Options;
 
     /// Opens (and recovers) the durable server in `dir`. `vfs` must
     /// outlive the server; pass store::PosixVfs::instance() outside
-    /// tests. (Two overloads rather than a default argument: a nested
-    /// class's member initializers are incomplete at this point.)
+    /// tests.
     DurableServer(store::Vfs& vfs, const std::filesystem::path& dir,
-                  Options options);
-    DurableServer(store::Vfs& vfs, const std::filesystem::path& dir);
+                  Options options = {});
 
-    /// Applies the request; mutating requests are logged before the
-    /// response is returned. Throws store::IoError if logging fails —
-    /// the caller must treat the operation as not acknowledged.
+    /// Applies the request; a mutating request is committed as a
+    /// one-element handle_batch(), so it is logged before the response is
+    /// returned, and its slot's error is rethrown. Throws store::IoError
+    /// if logging fails — the caller must treat the operation as not
+    /// acknowledged.
     Bytes handle(BytesView request) override;
 
     /// Group-committed variant: applies every request of the batch in
@@ -86,9 +81,9 @@ public:
     /// committer can ack the whole batch after a single fsync. Failures
     /// are per-request (an invalid request yields its exception in that
     /// slot); a log-write failure fails every applied-but-unlogged slot,
-    /// matching handle()'s not-acknowledged semantics. Replayed
-    /// envelopes — across batches or within one — are answered from the
-    /// dedup cache without re-applying.
+    /// none of which may be acknowledged. Replayed envelopes — across
+    /// batches or within one — are answered from the dedup cache without
+    /// re-applying.
     std::vector<net::BatchRequestHandler::Result> handle_batch(
         const std::vector<Bytes>& requests) override;
 
@@ -172,7 +167,6 @@ private:
     /// engine's recovery restore callback reads them.
     store::Vfs& vfs_;
     std::filesystem::path dir_;
-    bool mmap_checkpoints_;
     store::StorageEngine engine_;
     /// Serializes mutating ops end-to-end (apply + log + checkpoint) so
     /// WAL order matches application order. Lock order: log_mutex_

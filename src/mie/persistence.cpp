@@ -1,15 +1,15 @@
 #include "mie/persistence.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
+#include "index/snapshot.hpp"
 #include "store/file.hpp"
 
 namespace mie {
 
 void save_server_snapshot(const MieServer& server,
                           const std::filesystem::path& path) {
-    const Bytes snapshot = server.export_snapshot();
+    const Bytes snapshot = server.export_mapped_snapshot();
     try {
         // temp write + fdatasync + rename + directory fsync: without the
         // syncs, "temp+rename" is only atomic against process crash — a
@@ -24,19 +24,9 @@ void save_server_snapshot(const MieServer& server,
 
 void load_server_snapshot(MieServer& server,
                           const std::filesystem::path& path) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        throw std::runtime_error("load_server_snapshot: cannot open " +
-                                 path.string());
-    }
-    const auto size = static_cast<std::size_t>(in.tellg());
-    in.seekg(0);
-    Bytes snapshot(size);
-    if (!in.read(reinterpret_cast<char*>(snapshot.data()),
-                 static_cast<std::streamsize>(size))) {
-        throw std::runtime_error("load_server_snapshot: read failed");
-    }
-    server.restore_snapshot(snapshot);
+    auto snapshot = index::MappedSnapshot::open(path);
+    snapshot->verify_all_sections();
+    server.attach_mapped_snapshot(std::move(snapshot));
 }
 
 }  // namespace mie

@@ -1,10 +1,11 @@
 // Cloud-side repository persistence: one-shot snapshots.
 //
-// Repository state serializes to a snapshot: ciphertext blobs, DPE
-// encodings, token lists, and training parameters. Vocabulary trees and
-// inverted indexes are NOT serialized — training is deterministic in
-// (data, seed), so load simply re-runs the server-side training/indexing
-// pass, trading restart CPU for snapshot size and format stability.
+// A snapshot file is the server's MIESNAP image (index/snapshot.hpp):
+// ciphertext blobs, DPE encodings, token lists, training parameters AND
+// the trained vocabulary trees and inverted indexes. It is the same
+// format DurableServer checkpoints and replication bootstrap use, so
+// loading retrains nothing and the loaded server answers byte for byte
+// as the saved one did.
 //
 // Snapshots are written crash-atomically (temp file + fdatasync + rename
 // + directory fsync via store::atomic_write_file), so a crash or power
@@ -13,12 +14,11 @@
 // A snapshot alone loses everything since the last save. For continuous
 // durability — every acknowledged mutation survives a crash — use
 // mie::DurableServer (src/mie/durable_server.hpp), which write-ahead
-// logs mutations and uses this same snapshot format for its checkpoints
-// (see DESIGN.md §Durability).
+// logs mutations and checkpoints this same image (see DESIGN.md
+// §Durability).
 #pragma once
 
 #include <filesystem>
-#include <iosfwd>
 
 #include "mie/server.hpp"
 
@@ -29,10 +29,10 @@ namespace mie {
 void save_server_snapshot(const MieServer& server,
                           const std::filesystem::path& path);
 
-/// Restores `server` from a snapshot written by save_server_snapshot
-/// (replacing its current state). Trained repositories are retrained
-/// (deterministically) on load.
-/// Throws std::runtime_error / std::out_of_range on corrupt input.
+/// Replaces `server`'s state with a snapshot written by
+/// save_server_snapshot. Every section is CRC-checked before the state
+/// changes. Throws std::runtime_error (index::SnapshotError) on a
+/// missing or corrupt file, leaving `server` untouched.
 void load_server_snapshot(MieServer& server,
                           const std::filesystem::path& path);
 

@@ -574,114 +574,6 @@ Bytes MieServer::handle_stats(const Repository& repo,
     return writer.take();
 }
 
-Bytes MieServer::export_snapshot() const {
-    const std::shared_lock map_lock(map_mutex_);
-    net::MessageWriter writer;
-    writer.write_u32(static_cast<std::uint32_t>(repositories_.size()));
-    // Snapshot bytes must be a pure function of server state, not of
-    // hash-map iteration order (lint rule R3): repositories and objects
-    // are serialized in sorted order.
-    std::vector<std::string> repo_ids;
-    repo_ids.reserve(repositories_.size());
-    // mielint: allow(R3): ids are sorted on the next line
-    for (const auto& [repo_id, repo_ptr] : repositories_) {
-        repo_ids.push_back(repo_id);
-    }
-    std::sort(repo_ids.begin(), repo_ids.end());
-    for (const std::string& repo_id : repo_ids) {
-        // Each repository is serialized under its shared lock, so each is
-        // internally consistent; callers needing a cross-repository
-        // consistent cut must quiesce writers themselves (DurableServer
-        // checkpoints do, by holding the log mutex).
-        Repository& repo = *repositories_.at(repo_id);
-        ensure_materialized(repo);
-        const std::shared_lock repo_lock(repo.mutex);
-        writer.write_string(repo_id);
-        writer.write_u8(repo.trained ? 1 : 0);
-        writer.write_u32(static_cast<std::uint32_t>(
-            repo.train_params.tree_branch));
-        writer.write_u32(
-            static_cast<std::uint32_t>(repo.train_params.tree_depth));
-        writer.write_u32(static_cast<std::uint32_t>(
-            repo.train_params.kmeans_iterations));
-        writer.write_u32(static_cast<std::uint32_t>(
-            repo.train_params.max_training_samples));
-        writer.write_u64(repo.train_params.seed);
-        writer.write_u8(
-            static_cast<std::uint8_t>(repo.train_params.ranking));
-        writer.write_u32(static_cast<std::uint32_t>(repo.objects.size()));
-        std::vector<std::uint64_t> object_ids;
-        object_ids.reserve(repo.objects.size());
-        // mielint: allow(R3): ids are sorted on the next line
-        for (const auto& [id, object] : repo.objects) {
-            object_ids.push_back(id);
-        }
-        std::sort(object_ids.begin(), object_ids.end());
-        for (const std::uint64_t id : object_ids) {
-            const StoredObject& object = repo.objects.at(id);
-            writer.write_u64(id);
-            writer.write_bytes(object.blob);
-            writer.write_u8(
-                static_cast<std::uint8_t>(object.dense_codes.size()));
-            for (const auto& [modality, codes] : object.dense_codes) {
-                writer.write_u8(modality);
-                writer.write_u32(static_cast<std::uint32_t>(codes.size()));
-                for (const auto& code : codes) {
-                    writer.write_bytes(code.serialize());
-                }
-            }
-            writer.write_u8(
-                static_cast<std::uint8_t>(object.sparse_terms.size()));
-            for (const auto& [modality, terms] : object.sparse_terms) {
-                writer.write_u8(modality);
-                writer.write_u32(static_cast<std::uint32_t>(terms.size()));
-                for (const auto& [term, freq] : terms) {
-                    writer.write_bytes(to_bytes(term));
-                    writer.write_u32(freq);
-                }
-            }
-        }
-    }
-    return writer.take();
-}
-
-void MieServer::restore_snapshot(BytesView snapshot) {
-    const std::unique_lock map_lock(map_mutex_);
-    repositories_.clear();
-    net::MessageReader reader(snapshot);
-    const auto num_repos = reader.read_u32();
-    for (std::uint32_t r = 0; r < num_repos; ++r) {
-        const std::string repo_id = reader.read_string();
-        auto repo_ptr = std::make_unique<Repository>();
-        Repository& repo = *repo_ptr;
-        const bool trained = reader.read_u8() != 0;
-        TrainParams params;
-        params.tree_branch = reader.read_u32();
-        params.tree_depth = reader.read_u32();
-        params.kmeans_iterations = static_cast<int>(reader.read_u32());
-        params.max_training_samples = reader.read_u32();
-        params.seed = reader.read_u64();
-        params.ranking =
-            static_cast<TrainParams::Ranking>(reader.read_u8());
-        repo.train_params = params;
-        const auto num_objects = reader.read_u32();
-        for (std::uint32_t i = 0; i < num_objects; ++i) {
-            const std::uint64_t id = reader.read_u64();
-            StoredObject object;
-            object.blob = reader.read_bytes();
-            ModalityPayload payload = read_modalities(reader);
-            object.dense_codes = std::move(payload.dense);
-            object.sparse_terms = std::move(payload.sparse);
-            repo.objects.emplace(id, std::move(object));
-        }
-        if (trained) {
-            // Deterministic retraining rebuilds trees and indexes exactly.
-            train_repository(repo, params);
-        }
-        repositories_.emplace(repo_id, std::move(repo_ptr));
-    }
-}
-
 // ---- Mapped (mmap) snapshots ----------------------------------------
 
 void MieServer::ensure_materialized(Repository& repo) const {

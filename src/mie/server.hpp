@@ -75,19 +75,13 @@ public:
     };
     RepoStats stats(const std::string& repo_id) const;
 
-    /// Serializes all repositories (blobs, encodings, tokens, training
-    /// parameters). Indexes/trees are rebuilt on restore — training is
-    /// deterministic in (data, seed).
-    Bytes export_snapshot() const;
-
-    /// Replaces this server's state with a snapshot from export_snapshot.
-    void restore_snapshot(BytesView snapshot);
-
     /// Serializes the complete server state — objects AND trained
     /// structures (vocabulary trees, inverted indexes) — into the
     /// mmap-able snapshot v1 file format (index/snapshot.hpp), one
-    /// section per repository. Unlike export_snapshot, restoring this
-    /// needs no retraining.
+    /// section per repository. This is the only serialization of server
+    /// state: files, checkpoints and replication all ship these bytes,
+    /// and restoring them needs no retraining. The bytes are a pure
+    /// function of logical state, so tests compare states by them.
     Bytes export_mapped_snapshot() const;
 
     /// O(1)-restart path: replaces server state with unmaterialized
@@ -155,7 +149,7 @@ private:
     Repository& require_repo(const std::string& repo_id) const;
 
     /// Core of TRAIN: builds per-modality vocabulary trees and re-indexes
-    /// every stored object. Shared by handle_train and restore_snapshot.
+    /// every stored object.
     void train_repository(Repository& repo, const TrainParams& params);
 
     void index_object(Repository& repo, std::uint64_t id,

@@ -574,7 +574,7 @@ bool SoakRun::check_exactly_once() {
         dedups[router.shard_of(routed_repo(request))]->handle(request);
     }
     for (std::uint32_t s = 0; s < options_.num_shards; ++s) {
-        const Bytes expected = shadows[s]->export_snapshot();
+        const Bytes expected = shadows[s]->export_mapped_snapshot();
         Shard& shard = shards_[s];
         std::vector<Node*> replicas;
         if (!shard.killed) replicas.push_back(&shard.primary.hosted->node);
@@ -583,7 +583,8 @@ bool SoakRun::check_exactly_once() {
             replicas.push_back(&shard.replacement.hosted->node);
         }
         for (Node* node : replicas) {
-            if (node->durable().server().export_snapshot() != expected) {
+            if (node->durable().server().export_mapped_snapshot() !=
+                expected) {
                 return false;
             }
         }
@@ -694,7 +695,8 @@ bool SoakRun::check_secrets() {
             dirs.push_back(&shard.replacement.dir);
         }
         for (Node* node : nodes) {
-            haystacks.push_back(node->durable().server().export_snapshot());
+            haystacks.push_back(
+                node->durable().server().export_mapped_snapshot());
         }
         for (const fs::path* dir : dirs) {
             std::vector<fs::path> files = vfs.list_dir(*dir);
@@ -716,7 +718,7 @@ std::uint32_t SoakRun::final_state_digest() {
     std::uint32_t state = crc32c_init();
     for (Shard& shard : shards_) {
         const Bytes snapshot =
-            shard_truth(shard).durable().server().export_snapshot();
+            shard_truth(shard).durable().server().export_mapped_snapshot();
         state = crc32c_update(state, snapshot);
     }
     return crc32c_final(state);

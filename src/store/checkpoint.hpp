@@ -1,8 +1,8 @@
 // Checkpoint files for the durable storage engine.
 //
 // A checkpoint is an opaque snapshot payload from the engine's owner
-// (for mie::DurableServer: a stub naming a MIESNAP file, or a legacy
-// inline export_snapshot image) stamped with the WAL position it covers:
+// (for mie::DurableServer: a stub naming a MIESNAP file) stamped with
+// the WAL position it covers:
 //
 //   magic "MIECKPT\n" (8) | u64 lsn | u32 crc32(snapshot) | u32 len | snapshot
 //

@@ -3,7 +3,7 @@
 // The engine knows nothing about MIE; it logs byte strings and stores
 // byte-string snapshots. The owner (mie::DurableServer) decides what a
 // payload means (a mutating RPC request) and what a snapshot holds (a
-// stub naming a MIESNAP file, or a legacy inline export_snapshot image).
+// stub naming a MIESNAP file).
 //
 // Layout under `dir`:
 //   wal/         segment files (see wal.hpp)
@@ -62,10 +62,6 @@ public:
 
     const RecoveryResult& recovery() const { return recovery_; }
 
-    /// Appends one operation payload to the log. The operation may be
-    /// acknowledged once this returns.
-    Lsn log(BytesView payload) { return wal_.append(payload); }
-
     /// Appends a batch of operation payloads with ONE sync-policy
     /// application at the end (group commit: a single fsync covers every
     /// record under kEveryRecord). All operations of the batch may be
@@ -91,8 +87,8 @@ public:
     std::size_t num_wal_segments() const { return wal_.num_segments(); }
 
     /// Tail-reads logged payloads with lsn > `after` (replication feed).
-    /// The caller must serialize against concurrent log()/checkpoint()
-    /// calls, exactly like those calls serialize against each other.
+    /// The caller must serialize against concurrent log_batch() and
+    /// checkpoint() calls, exactly like those serialize with each other.
     Wal::TailRead read_from(
         Lsn after, std::size_t max_records,
         const std::function<void(Lsn, BytesView)>& fn) const {

@@ -252,12 +252,8 @@ protected:
     fs::path dir_;
 };
 
-Bytes snapshot_of(const Node& node) {
-    return node.durable().server().export_snapshot();
-}
-
 /// The full MIESNAP image: objects AND trained trees and indexes.
-Bytes mapped_snapshot_of(const Node& node) {
+Bytes snapshot_of(const Node& node) {
     return node.durable().server().export_mapped_snapshot();
 }
 
@@ -491,7 +487,6 @@ TEST_F(ClusterTest, SnapshotBootstrapAfterCheckpointTruncation) {
     EXPECT_EQ(follower.replication().snapshots_restored, 1u);
     replicator.sync();
     EXPECT_EQ(snapshot_of(follower), snapshot_of(primary));
-    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
 
     // Incremental shipping still works after the bootstrap.
     sim::FlickrLikeGenerator gen(sim::FlickrLikeParams{
@@ -500,7 +495,6 @@ TEST_F(ClusterTest, SnapshotBootstrapAfterCheckpointTruncation) {
     const std::size_t shipped = replicator.sync();
     EXPECT_GE(shipped, 1u);
     EXPECT_EQ(snapshot_of(follower), snapshot_of(primary));
-    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
     EXPECT_EQ(follower.acked_lsn(), primary.durable().durability().last_lsn);
 }
 
@@ -551,10 +545,10 @@ protected:
     std::vector<Bytes> searches_;
 };
 
-// Regression: a follower bootstrapped after post-TRAIN updates used to
-// retrain its trees over the current object set (the legacy object-only
-// snapshot), so its trees, indexes and search replies differed from the
-// primary's, whose trees were trained before those updates.
+// A follower bootstrapped after post-TRAIN updates keeps the primary's
+// trees, which were trained before those updates: its trees, indexes and
+// search replies match the primary's byte for byte. A bootstrap that
+// retrained over the current object set would diverge here.
 TEST_F(SnapshotBootstrapTest, FollowerAfterPostTrainUpdatesAnswersLikePrimary) {
     Node primary(store::PosixVfs::instance(), node_dir("primary"),
                  truncating_options());
@@ -570,7 +564,7 @@ TEST_F(SnapshotBootstrapTest, FollowerAfterPostTrainUpdatesAnswersLikePrimary) {
     EXPECT_EQ(follower.acked_lsn(), primary.durable().durability().last_lsn);
 
     EXPECT_EQ(replies_of(follower), replies_of(primary));
-    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
+    EXPECT_EQ(snapshot_of(follower), snapshot_of(primary));
 }
 
 TEST_F(SnapshotBootstrapTest, BadImageIsRejectedAndChangesNothing) {
@@ -603,14 +597,14 @@ TEST_F(SnapshotBootstrapTest, BadImageIsRejectedAndChangesNothing) {
     ASSERT_FALSE(snapshots_before.empty());
     ASSERT_FALSE(checkpoints_before.empty());
     const std::vector<Bytes> replies_before = replies_of(follower);
-    const Bytes state_before = mapped_snapshot_of(follower);
+    const Bytes state_before = snapshot_of(follower);
     const auto expect_untouched = [&] {
         EXPECT_EQ(follower.acked_lsn(), acked_before);
         EXPECT_EQ(follower.replication().snapshots_restored, restored_before);
         EXPECT_EQ(files_in(follower_dir / "snapshots"), snapshots_before);
         EXPECT_EQ(files_in(follower_dir / "checkpoints"), checkpoints_before);
         EXPECT_EQ(replies_of(follower), replies_before);
-        EXPECT_EQ(mapped_snapshot_of(follower), state_before);
+        EXPECT_EQ(snapshot_of(follower), state_before);
     };
 
     const Bytes truncated(image.begin(), image.end() - 16);
@@ -635,7 +629,7 @@ TEST_F(SnapshotBootstrapTest, BadImageIsRejectedAndChangesNothing) {
     EXPECT_TRUE(replicator.pump().restored_snapshot);
     replicator.sync();
     EXPECT_EQ(replies_of(follower), replies_of(primary));
-    EXPECT_EQ(mapped_snapshot_of(follower), mapped_snapshot_of(primary));
+    EXPECT_EQ(snapshot_of(follower), snapshot_of(primary));
 }
 
 TEST_F(SnapshotBootstrapTest, InstalledImageSurvivesRestart) {
@@ -659,7 +653,7 @@ TEST_F(SnapshotBootstrapTest, InstalledImageSurvivesRestart) {
     EXPECT_TRUE(reopened.durable().durability().recovered_from_checkpoint);
     EXPECT_EQ(reopened.acked_lsn(), primary.durable().durability().last_lsn);
     EXPECT_EQ(replies_of(reopened), replies_of(primary));
-    EXPECT_EQ(mapped_snapshot_of(reopened), mapped_snapshot_of(primary));
+    EXPECT_EQ(snapshot_of(reopened), snapshot_of(primary));
 }
 
 TEST_F(ClusterTest, FollowerCrashRepullIsDeduplicated) {

@@ -222,13 +222,13 @@ protected:
         EXPECT_EQ(f1.role(), Role::kPrimary);
 
         // Recovered cluster state == acked-operations shadow, exactly.
-        EXPECT_EQ(p0.durable().server().export_snapshot(),
-                  shadow0.export_snapshot());
-        EXPECT_EQ(f1.durable().server().export_snapshot(),
-                  shadow1.export_snapshot());
+        EXPECT_EQ(p0.durable().server().export_mapped_snapshot(),
+                  shadow0.export_mapped_snapshot());
+        EXPECT_EQ(f1.durable().server().export_mapped_snapshot(),
+                  shadow1.export_mapped_snapshot());
         // The healthy shard's follower also tracked every acked op.
-        EXPECT_EQ(f0.durable().server().export_snapshot(),
-                  shadow0.export_snapshot());
+        EXPECT_EQ(f0.durable().server().export_mapped_snapshot(),
+                  shadow0.export_mapped_snapshot());
 
         // Ranked search after failover: served by the promoted follower,
         // byte-identical to the shadow's answer.

@@ -104,8 +104,8 @@ TEST_F(ClusterReactorTest, ReplicationAndFailoverOverTcp) {
     EXPECT_EQ(repl.sync(), 6u);
     EXPECT_EQ(follower.node.acked_lsn(),
               primary->node.durable().durability().last_lsn);
-    EXPECT_EQ(follower.node.durable().server().export_snapshot(),
-              primary->node.durable().server().export_snapshot());
+    EXPECT_EQ(follower.node.durable().server().export_mapped_snapshot(),
+              primary->node.durable().server().export_mapped_snapshot());
 
     // Reads are served by either replica over TCP, byte-identically.
     const auto results = client.search(generator.make(1), 2);

@@ -118,7 +118,7 @@ TEST_F(PromoteDuringPullTest, PumpIntoPromotedFollowerFailsFastAndSafely) {
     ASSERT_EQ(primary.role(), Role::kPrimary);  // split-brain, contained
 
     const Bytes state_before =
-        follower.durable().server().export_snapshot();
+        follower.durable().server().export_mapped_snapshot();
     const std::uint64_t acked_before = follower.acked_lsn();
     const auto stats_before = follower.replication();
     const std::uint64_t pump_calls_before = pump_wire.calls();
@@ -140,7 +140,8 @@ TEST_F(PromoteDuringPullTest, PumpIntoPromotedFollowerFailsFastAndSafely) {
         NotFollowerError);
 
     // Nothing about the promoted node moved: snapshot, offset, stats.
-    EXPECT_EQ(follower.durable().server().export_snapshot(), state_before);
+    EXPECT_EQ(follower.durable().server().export_mapped_snapshot(),
+              state_before);
     EXPECT_EQ(follower.acked_lsn(), acked_before);
     EXPECT_EQ(follower.replication().records_applied,
               stats_before.records_applied);
@@ -175,8 +176,8 @@ TEST_F(PromoteDuringPullTest, GuardDoesNotAffectARealFollower) {
     net::MeteredTransport pump_wire(primary, net::LinkProfile::loopback());
     Replicator replicator(follower, pump_wire);
     EXPECT_NO_THROW(replicator.sync());
-    EXPECT_EQ(follower.durable().server().export_snapshot(),
-              primary.durable().server().export_snapshot());
+    EXPECT_EQ(follower.durable().server().export_mapped_snapshot(),
+              primary.durable().server().export_mapped_snapshot());
 }
 
 }  // namespace

@@ -83,44 +83,14 @@ std::map<std::uint64_t, Bytes> listing_of(net::RequestHandler& server) {
 
 /// Asserts `recovered` holds exactly the same repository state as
 /// `expected` (object set with identical blobs, plus index statistics).
-/// This strict form only holds for pure WAL replay, which re-executes the
-/// original request sequence and therefore reproduces the index
-/// bit-for-bit.
+/// Holds for pure WAL replay, which re-executes the original request
+/// sequence, and for checkpoint restores, whose MIESNAP image carries the
+/// trained trees and indexes.
 void expect_same_state(net::RequestHandler& recovered,
                        net::RequestHandler& expected) {
     EXPECT_EQ(listing_of(recovered), listing_of(expected));
     EXPECT_EQ(recovered.handle(stats_request()),
               expected.handle(stats_request()));
-}
-
-struct CoreStats {
-    std::uint64_t num_objects = 0;
-    bool trained = false;
-};
-
-CoreStats core_stats_of(net::RequestHandler& server) {
-    // Keep the response alive: MessageReader is a view over the bytes.
-    const Bytes response = server.handle(stats_request());
-    net::MessageReader reader(response);
-    CoreStats stats;
-    stats.num_objects = reader.read_u64();
-    stats.trained = reader.read_u8() != 0;
-    return stats;
-}
-
-/// Asserts the acknowledged state matches: identical object store and
-/// trained flag. Used for checkpoint-restored servers, where the object
-/// store is exact but derived index structures are deterministically
-/// retrained from the *current* objects (the snapshot format does not
-/// serialize trees/indexes), so per-term index counters can legitimately
-/// differ from a server that trained earlier on a different object set.
-void expect_same_objects(net::RequestHandler& recovered,
-                         net::RequestHandler& expected) {
-    EXPECT_EQ(listing_of(recovered), listing_of(expected));
-    const CoreStats a = core_stats_of(recovered);
-    const CoreStats b = core_stats_of(expected);
-    EXPECT_EQ(a.num_objects, b.num_objects);
-    EXPECT_EQ(a.trained, b.trained);
 }
 
 class DurableServerTest : public ::testing::Test {
@@ -196,35 +166,22 @@ protected:
         return std::nullopt;
     }
 
-    /// True when the two servers agree on the acknowledged state —
-    /// under `strict` additionally on every derived index counter.
-    static bool state_matches(net::RequestHandler& a, net::RequestHandler& b,
-                              bool strict) {
-        if (listing_of(a) != listing_of(b)) return false;
-        if (strict) {
-            return a.handle(stats_request()) == b.handle(stats_request());
-        }
-        const CoreStats sa = core_stats_of(a);
-        const CoreStats sb = core_stats_of(b);
-        return sa.num_objects == sb.num_objects && sa.trained == sb.trained;
+    /// True when the two servers agree on the acknowledged state.
+    static bool state_matches(net::RequestHandler& a,
+                              net::RequestHandler& b) {
+        return listing_of(a) == listing_of(b) &&
+               a.handle(stats_request()) == b.handle(stats_request());
     }
 
     /// Recovered state must equal shadow(acked), or — only when a logged
-    /// record was in flight — shadow(acked + in-flight). Pass
-    /// `strict=false` when recovery may have gone through a checkpoint
-    /// (see expect_same_objects).
+    /// record was in flight — shadow(acked + in-flight).
     static void expect_recovered(DurableServer& recovered, MieServer& shadow,
-                                 const std::optional<Bytes>& in_flight,
-                                 bool strict = true) {
-        if (state_matches(recovered, shadow, strict)) return;
+                                 const std::optional<Bytes>& in_flight) {
+        if (state_matches(recovered, shadow)) return;
         ASSERT_TRUE(in_flight.has_value())
             << "recovered state diverges with no in-flight operation";
         shadow.handle(*in_flight);
-        if (strict) {
-            expect_same_state(recovered, shadow);
-        } else {
-            expect_same_objects(recovered, shadow);
-        }
+        expect_same_state(recovered, shadow);
     }
 
     fs::path dir_;
@@ -318,7 +275,7 @@ TEST_F(DurableServerTest, CheckpointPlusTailRecovery) {
     EXPECT_TRUE(stats.recovered_from_checkpoint);
     // Only the records after the last checkpoint replay.
     EXPECT_LT(stats.recovered_records, workload().size());
-    expect_same_objects(recovered, shadow);
+    expect_same_state(recovered, shadow);
 }
 
 TEST_F(DurableServerTest, ManualCheckpointTruncatesLog) {
@@ -333,7 +290,7 @@ TEST_F(DurableServerTest, ManualCheckpointTruncatesLog) {
                             small_segments());
     EXPECT_TRUE(recovered.durability().recovered_from_checkpoint);
     EXPECT_EQ(recovered.durability().recovered_records, 0u);
-    expect_same_objects(recovered, shadow);
+    expect_same_state(recovered, shadow);
 }
 
 // The kill-and-recover matrix: crash the server at arbitrary byte
@@ -383,12 +340,7 @@ TEST_F(DurableServerTest, KillAndRecoverAtArbitraryPoints) {
                              " torn=" + std::to_string(torn) +
                              " checkpoint_every=" +
                              std::to_string(checkpoint_every));
-                // Pure-replay recoveries must match bit-for-bit; a
-                // checkpoint restore is only object-exact (see
-                // expect_same_objects).
-                const bool strict =
-                    !recovered.durability().recovered_from_checkpoint;
-                expect_recovered(recovered, shadow, in_flight, strict);
+                expect_recovered(recovered, shadow, in_flight);
             }
         }
     }
@@ -479,8 +431,8 @@ TEST_F(DurableServerTest, CorruptCrcYieldsExactPrefixState) {
     expect_same_state(recovered, shadow);
 }
 
-// Plain snapshot persistence still works on top of the refactored
-// server, and the durable checkpoint format is the same export format.
+// A saved snapshot of a durable server loads into a plain server with
+// the exact state: save/load and checkpoints share the MIESNAP image.
 TEST_F(DurableServerTest, SnapshotPersistenceInteroperates) {
     MieServer shadow;
     {
@@ -491,9 +443,7 @@ TEST_F(DurableServerTest, SnapshotPersistenceInteroperates) {
     }
     MieServer restored;
     load_server_snapshot(restored, dir_ / "manual.snap");
-    // Snapshot restore retrains on the current object set, so only the
-    // acknowledged state (not per-term index counters) is bit-exact.
-    expect_same_objects(restored, shadow);
+    expect_same_state(restored, shadow);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Mmap-checkpoint restart path (DurableServer with mmap_checkpoints) and
-// the IVF-probed search through the full client/server wire.
+// Checkpoint restart path (DurableServer's MIESNAP checkpoints) and the
+// IVF-probed search through the full client/server wire.
 //
-// Unlike the legacy inline checkpoint (which stores objects only and
-// retrains on restore), the mmap snapshot serializes the vocab trees and
-// inverted indexes verbatim — so a checkpoint restart must be BIT-exact
-// against the pre-crash server, including per-term index counters, and
-// re-exporting the snapshot after a restart must reproduce the same
-// bytes. Corrupted / truncated / deleted snapshot files must fall back
-// to full WAL replay without losing an acknowledged operation.
+// The snapshot serializes the vocab trees and inverted indexes verbatim
+// — so a checkpoint restart must be BIT-exact against the pre-crash
+// server, including per-term index counters, and re-exporting the
+// snapshot after a restart must reproduce the same bytes. Corrupted /
+// truncated / deleted snapshot files, and checkpoint records that are
+// not MIESREF stubs, must fall back to full WAL replay without losing an
+// acknowledged operation — or fail loudly when the log was truncated.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,12 +19,14 @@
 #include <vector>
 
 #include "exec/exec.hpp"
+#include "index/snapshot.hpp"
 #include "mie/client.hpp"
 #include "mie/durable_server.hpp"
 #include "mie/server.hpp"
 #include "mie/wire.hpp"
 #include "net/transport.hpp"
 #include "sim/dataset.hpp"
+#include "store/checkpoint.hpp"
 #include "store/file.hpp"
 
 namespace mie {
@@ -142,6 +144,15 @@ protected:
         for (const Bytes& request : requests) server.handle(request);
     }
 
+    /// Overwrites the checkpoint record at `lsn` in `dir` with a payload
+    /// that is not a MIESREF stub.
+    static void write_inline_checkpoint(const fs::path& dir,
+                                        store::Lsn lsn) {
+        store::CheckpointStore(store::PosixVfs::instance(),
+                               dir / "checkpoints")
+            .write(lsn, to_bytes("an inline image, not a MIESREF stub"));
+    }
+
     /// The single snapshot file the stub checkpoint published.
     fs::path snapshot_file() const {
         const auto entries =
@@ -195,20 +206,22 @@ TEST_F(MmapRestartTest, WalTailReplaysOnTopOfMappedSnapshot) {
     expect_same_state(recovered, shadow);
 }
 
-// Damage the published snapshot file in three ways; every variant must
+// Damage the published checkpoint in four ways; every variant must
 // fall back to full WAL replay (the log was never truncated past LSN 1)
 // and recover the acknowledged state exactly.
 TEST_F(MmapRestartTest, DamagedSnapshotFallsBackToWalReplay) {
     MieServer shadow;
     drive(shadow, workload());
-    const char* damages[] = {"corrupt", "truncate", "delete"};
+    const char* damages[] = {"corrupt", "truncate", "delete", "inline"};
     for (const char* damage : damages) {
         SCOPED_TRACE(damage);
         const fs::path cell_dir = dir_ / damage;
+        store::Lsn checkpoint_lsn = 0;
         {
             DurableServer durable(store::PosixVfs::instance(), cell_dir);
             drive(durable, workload());
             durable.checkpoint_now();
+            checkpoint_lsn = durable.durability().last_lsn;
         }
         const auto entries =
             store::PosixVfs::instance().list_dir(cell_dir / "snapshots");
@@ -223,8 +236,10 @@ TEST_F(MmapRestartTest, DamagedSnapshotFallsBackToWalReplay) {
             f.write(&byte, 1);
         } else if (std::string(damage) == "truncate") {
             fs::resize_file(snapshot, size / 2);
-        } else {
+        } else if (std::string(damage) == "delete") {
             fs::remove(snapshot);
+        } else {
+            write_inline_checkpoint(cell_dir, checkpoint_lsn);
         }
         DurableServer recovered(store::PosixVfs::instance(), cell_dir);
         const auto stats = recovered.durability();
@@ -234,32 +249,24 @@ TEST_F(MmapRestartTest, DamagedSnapshotFallsBackToWalReplay) {
     }
 }
 
-// Flipping mmap_checkpoints between runs is safe in both directions:
-// recovery dispatches on the checkpoint record itself, not the flag.
-TEST_F(MmapRestartTest, LegacyCheckpointInteropBothDirections) {
-    MieServer shadow;
-    drive(shadow, workload());
-    DurableServer::Options legacy;
-    legacy.mmap_checkpoints = false;
+// A checkpoint that is not a MIESREF stub, after that checkpoint has
+// truncated WAL segments: the history full replay would need is gone, so
+// opening must fail loudly rather than come up empty or partial.
+TEST_F(MmapRestartTest, InlineCheckpointAfterTruncationFailsToOpen) {
+    DurableServer::Options options;
+    options.wal.segment_bytes = 1024;
+    store::Lsn checkpoint_lsn = 0;
     {
-        DurableServer durable(store::PosixVfs::instance(), dir_, legacy);
+        DurableServer durable(store::PosixVfs::instance(), dir_, options);
         drive(durable, workload());
         durable.checkpoint_now();
+        checkpoint_lsn = durable.durability().last_lsn;
+        ASSERT_GT(durable.oldest_log_lsn(), 1u);
     }
-    {
-        // Legacy inline checkpoint read back under mmap options. The
-        // legacy format retrains on restore, so only the object store is
-        // exact — and a fresh mmap checkpoint written NOW must then be
-        // readable by a legacy-configured server.
-        DurableServer durable(store::PosixVfs::instance(), dir_);
-        EXPECT_TRUE(durable.durability().recovered_from_checkpoint);
-        EXPECT_EQ(listing_of(durable), listing_of(shadow));
-        durable.checkpoint_now();
-        EXPECT_TRUE(fs::exists(snapshot_file()));
-    }
-    DurableServer durable(store::PosixVfs::instance(), dir_, legacy);
-    EXPECT_TRUE(durable.durability().recovered_from_checkpoint);
-    EXPECT_EQ(listing_of(durable), listing_of(shadow));
+    write_inline_checkpoint(dir_, checkpoint_lsn);
+    EXPECT_THROW(
+        DurableServer(store::PosixVfs::instance(), dir_, options),
+        index::SnapshotError);
 }
 
 // The probed (ANN) search through the full wire: deterministic at every

@@ -1,19 +1,40 @@
 // Cloud-server persistence tests: snapshots survive restarts with search
-// behaviour intact (deterministic retraining).
+// behaviour intact (the MIESNAP image carries trained trees and indexes).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "mie/client.hpp"
 #include "mie/persistence.hpp"
 #include "mie/server.hpp"
+#include "mie/wire.hpp"
 #include "sim/dataset.hpp"
 
 namespace mie {
 namespace {
+
+/// Forwards to a server and keeps a copy of every SEARCH request.
+class SearchRecorder final : public net::RequestHandler {
+public:
+    explicit SearchRecorder(net::RequestHandler& inner) : inner_(inner) {}
+
+    Bytes handle(BytesView request) override {
+        if (!request.empty() &&
+            static_cast<MieOp>(request[0]) == MieOp::kSearch) {
+            searches.emplace_back(request.begin(), request.end());
+        }
+        return inner_.handle(request);
+    }
+
+    std::vector<Bytes> searches;
+
+private:
+    net::RequestHandler& inner_;
+};
 
 class PersistenceTest : public ::testing::Test {
 protected:
@@ -83,6 +104,42 @@ TEST_F(PersistenceTest, SnapshotRoundtripPreservesSearch) {
             EXPECT_EQ(r1[i].object_id, r2[i].object_id) << id;
             EXPECT_DOUBLE_EQ(r1[i].score, r2[i].score) << id;
         }
+    }
+}
+
+// Updates after TRAIN leave the live trees trained on an older object
+// set, so a load that retrained over the saved objects would answer
+// differently. The loaded server must return the saved server's SEARCH
+// replies byte for byte, exact and IVF-probed.
+TEST_F(PersistenceTest, RoundTripAfterPostTrainUpdatesIsExact) {
+    MieServer original;
+    SearchRecorder recorder(original);
+    net::MeteredTransport transport(recorder, net::LinkProfile::loopback());
+    MieClient client(transport, "repo", key_, to_bytes("u"));
+    client.train_params.tree_branch = 5;
+    client.train_params.tree_depth = 2;
+    client.create_repository();
+    for (const auto& object : generator_.make_batch(0, 10)) {
+        client.update(object);
+    }
+    client.train();
+    client.remove(3);
+    for (const auto& object : generator_.make_batch(40, 4)) {
+        client.update(object);
+    }
+    save_server_snapshot(original, path_);
+    MieServer restored;
+    load_server_snapshot(restored, path_);
+
+    for (const std::size_t probes : {0u, 4u}) {
+        client.search_probes = probes;
+        for (const std::uint64_t id : {0u, 5u, 41u, 3u}) {
+            EXPECT_FALSE(client.search(generator_.make(id), 5).empty());
+        }
+    }
+    ASSERT_EQ(recorder.searches.size(), 8u);
+    for (const Bytes& request : recorder.searches) {
+        EXPECT_EQ(restored.handle(request), original.handle(request));
     }
 }
 

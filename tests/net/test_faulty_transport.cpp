@@ -77,7 +77,7 @@ const ReferenceRun& reference_run() {
         auto client = make_client(wire);
         ReferenceRun run;
         run.top_hit = run_workload(*client);
-        run.snapshot = server.export_snapshot();
+        run.snapshot = server.export_mapped_snapshot();
         return run;
     }();
     return reference;
@@ -111,7 +111,7 @@ void run_cell(FaultKind kind, std::size_t call_index) {
     EXPECT_GE(retrying.stats().retries, 1u);
     EXPECT_EQ(top_hit, reference_run().top_hit);
     // Exactly-once: final server state identical to the fault-free run.
-    EXPECT_EQ(server.export_snapshot(), reference_run().snapshot);
+    EXPECT_EQ(server.export_mapped_snapshot(), reference_run().snapshot);
     if (!is_send_kind(kind) && kind != FaultKind::kDelayRecv) {
         // The server applied the original; the retry was a replay the
         // dedup cache must have absorbed (not a second application).
@@ -151,7 +151,7 @@ TEST(FaultMatrix, DelayWithoutDeadlineOnlyAddsLatency) {
     run_workload(*client);
     EXPECT_EQ(retrying.stats().retries, 0u);
     EXPECT_GE(retrying.network_seconds() - before, 0.5);
-    EXPECT_EQ(server.export_snapshot(), reference_run().snapshot);
+    EXPECT_EQ(server.export_mapped_snapshot(), reference_run().snapshot);
 }
 
 TEST(FaultMatrix, DelayPastDeadlineTimesOutAndRetries) {
@@ -170,7 +170,7 @@ TEST(FaultMatrix, DelayPastDeadlineTimesOutAndRetries) {
     run_workload(*client);
     EXPECT_GE(retrying.stats().timeouts, 1u);
     EXPECT_GE(dedup.replays_suppressed(), 1u);
-    EXPECT_EQ(server.export_snapshot(), reference_run().snapshot);
+    EXPECT_EQ(server.export_mapped_snapshot(), reference_run().snapshot);
 }
 
 TEST(FaultMatrix, ExhaustedRetriesSurfaceTypedError) {
@@ -233,7 +233,7 @@ TEST(FaultMatrix, SeededSchedulesAreDeterministic) {
         return std::tuple(faulty.stats().faults_injected,
                           retrying.stats().attempts,
                           retrying.stats().backoff_seconds,
-                          server.export_snapshot());
+                          server.export_mapped_snapshot());
     };
     const auto first = run_once();
     const auto second = run_once();

@@ -182,7 +182,8 @@ void run_soak_round(const fs::path& dir, std::uint64_t seed) {
     for (const Submission& submission : plan) {
         if (!submission.is_duplicate()) shadow_dedup.handle(submission.request);
     }
-    EXPECT_EQ(durable.server().export_snapshot(), shadow.export_snapshot());
+    EXPECT_EQ(durable.server().export_mapped_snapshot(),
+              shadow.export_mapped_snapshot());
     EXPECT_EQ(shadow_dedup.replays_suppressed(), 0u);
 }
 

@@ -18,6 +18,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Logs one payload through the engine's append path.
+Lsn log_one(StorageEngine& engine, const std::string& payload) {
+    const Bytes bytes = to_bytes(payload);
+    return engine.log_batch({BytesView(bytes)});
+}
+
 class WalTest : public ::testing::Test {
 protected:
     WalTest()
@@ -334,11 +340,11 @@ TEST_F(WalTest, EngineRecoversCheckpointPlusTail) {
             vfs_, dir_, options,
             [&](BytesView s) { restored = to_string(s); },
             [&](BytesView p) { applied.push_back(to_string(p)); });
-        engine.log(to_bytes("op-1"));
-        engine.log(to_bytes("op-2"));
+        log_one(engine, "op-1");
+        log_one(engine, "op-2");
         engine.checkpoint(to_bytes("state-after-2"));
-        engine.log(to_bytes("op-3"));
-        engine.log(to_bytes("op-4"));
+        log_one(engine, "op-3");
+        log_one(engine, "op-4");
         engine.sync();
     }
     applied.clear();
@@ -355,7 +361,7 @@ TEST_F(WalTest, EngineRecoversCheckpointPlusTail) {
     EXPECT_EQ(engine.recovery().checkpoint_lsn, 2u);
     EXPECT_EQ(engine.last_lsn(), 4u);
     // Appends continue with fresh LSNs.
-    EXPECT_EQ(engine.log(to_bytes("op-5")), 5u);
+    EXPECT_EQ(log_one(engine, "op-5"), 5u);
 }
 
 TEST_F(WalTest, CrashBetweenCheckpointAndTruncateIsSafe) {
@@ -530,8 +536,8 @@ TEST_F(WalTest, EngineCheckpointDueFollowsThreshold) {
     StorageEngine engine(
         vfs_, dir_, options, [](BytesView) {}, [](BytesView) {});
     EXPECT_FALSE(engine.checkpoint_due());
-    engine.log(to_bytes("a long enough payload to cross the threshold"));
-    engine.log(to_bytes("second payload"));
+    log_one(engine, "a long enough payload to cross the threshold");
+    log_one(engine, "second payload");
     EXPECT_TRUE(engine.checkpoint_due());
     engine.checkpoint(to_bytes("snap"));
     EXPECT_FALSE(engine.checkpoint_due());
@@ -652,8 +658,8 @@ TEST_F(WalTest, EngineExposesTailReader) {
     StorageEngine::Options options;
     StorageEngine engine(
         vfs_, dir_, options, [](BytesView) {}, [](BytesView) {});
-    engine.log(to_bytes("alpha"));
-    engine.log(to_bytes("beta"));
+    log_one(engine, "alpha");
+    log_one(engine, "beta");
     EXPECT_EQ(engine.oldest_lsn(), 1u);
     std::vector<std::pair<Lsn, std::string>> got;
     const Wal::TailRead tail =
